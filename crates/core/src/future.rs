@@ -35,6 +35,12 @@ pub trait WaitHook: Send + Sync {
 /// counts and client-visible outcome statistics accurate without polling.
 pub type FulfillHook = Box<dyn FnOnce(&Result<Value>) + Send>;
 
+/// Callback run once *after* the result is published (slot filled, waiters
+/// notified), at fulfilment or at writer drop. Unlike a [`FulfillHook`], a
+/// thread woken by it always finds the result in place, so an event loop
+/// can use it as a wake-up source without missing the completion.
+pub type PublishNotifier = Arc<dyn Fn() + Send + Sync>;
+
 #[derive(Default)]
 struct FutureState {
     slot: Mutex<Option<Result<Value>>>,
@@ -72,6 +78,7 @@ impl std::fmt::Debug for ReactorFuture {
 pub struct FutureWriter {
     state: Arc<FutureState>,
     hook: Option<FulfillHook>,
+    notifier: Option<PublishNotifier>,
 }
 
 impl std::fmt::Debug for FutureWriter {
@@ -103,7 +110,7 @@ impl ReactorFuture {
                 state: Arc::clone(&state),
                 hook: None,
             },
-            FutureWriter { state, hook: None },
+            FutureWriter::new(state),
         )
     }
 
@@ -116,7 +123,7 @@ impl ReactorFuture {
                 state: Arc::clone(&state),
                 hook: Some(hook),
             },
-            FutureWriter { state, hook: None },
+            FutureWriter::new(state),
         )
     }
 
@@ -200,11 +207,27 @@ impl ReactorFuture {
 }
 
 impl FutureWriter {
+    fn new(state: Arc<FutureState>) -> Self {
+        Self {
+            state,
+            hook: None,
+            notifier: None,
+        }
+    }
+
     /// Installs a callback to run exactly once when the future resolves —
     /// at fulfilment, or at writer drop if the request was abandoned. The
     /// engine's session layer uses this for in-flight accounting.
     pub fn on_fulfill(&mut self, hook: FulfillHook) {
         self.hook = Some(hook);
+    }
+
+    /// Installs a callback to run exactly once after the result is
+    /// published — at fulfilment, or at writer drop if the request was
+    /// abandoned. The wire server uses it to wake the net worker that owns
+    /// the connection.
+    pub fn on_publish(&mut self, notifier: PublishNotifier) {
+        self.notifier = Some(notifier);
     }
 
     /// Fulfils the future. Later fulfilments are ignored (the first result
@@ -238,6 +261,9 @@ impl FutureWriter {
         *slot = Some(result);
         drop(slot);
         self.state.cond.notify_all();
+        if let Some(notifier) = self.notifier.take() {
+            notifier();
+        }
     }
 }
 
@@ -363,6 +389,26 @@ mod tests {
         w.fulfill(Ok(Value::Int(7)));
         assert_eq!(f.get().unwrap(), Value::Int(7));
         assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn publish_notifier_runs_after_the_result_is_visible() {
+        for abandon in [false, true] {
+            let seen = Arc::new(AtomicUsize::new(0));
+            let (f, mut w) = ReactorFuture::pending();
+            let (reader, seen_by) = (f.clone(), Arc::clone(&seen));
+            w.on_publish(Arc::new(move || {
+                assert!(reader.try_get().is_some(), "notified before publication");
+                seen_by.fetch_add(1, Ordering::SeqCst);
+            }));
+            if abandon {
+                drop(w);
+            } else {
+                w.fulfill(Ok(Value::Int(3)));
+            }
+            assert_eq!(seen.load(Ordering::SeqCst), 1);
+            assert_eq!(f.try_get().unwrap().is_ok(), !abandon);
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use reactdb_common::{AckLevel, Result, TxnError, Value};
-use reactdb_core::{FulfillHook, ReactorFuture};
+use reactdb_core::{FulfillHook, PublishNotifier, ReactorFuture};
 use reactdb_obs::{AbortReason, Phase, TraceKind};
 
 use crate::database::{Inner, CLIENT_TIMEOUT};
@@ -152,13 +152,16 @@ impl Call {
     }
 }
 
-/// A client session handle. Cheap to clone (two `Arc`s); clones share the
+/// A client session handle. Cheap to clone (a few `Arc`s); clones share the
 /// session and its statistics. Obtained from
 /// [`ReactDB::client`](crate::ReactDB::client).
 #[derive(Clone)]
 pub struct Client {
     inner: Arc<Inner>,
     session: Arc<SessionShared>,
+    /// Run after each of this session's transactions publishes its result;
+    /// see [`Client::with_notifier`].
+    notifier: Option<PublishNotifier>,
 }
 
 impl std::fmt::Debug for Client {
@@ -173,7 +176,24 @@ impl std::fmt::Debug for Client {
 
 impl Client {
     pub(crate) fn new(inner: Arc<Inner>, session: Arc<SessionShared>) -> Self {
-        Self { inner, session }
+        Self {
+            inner,
+            session,
+            notifier: None,
+        }
+    }
+
+    /// Returns this session with `notifier` installed: it runs once per
+    /// transaction submitted afterwards, *after* the transaction's result
+    /// is published (so [`TxnHandle::try_result`] called from the woken
+    /// thread sees it), including when an abandoned request resolves with
+    /// an error. An event loop multiplexing many handles uses it to sleep
+    /// until some handle resolves instead of polling them. It must be
+    /// cheap and must not block: it runs on the executor thread that
+    /// committed the transaction.
+    pub fn with_notifier(mut self, notifier: PublishNotifier) -> Self {
+        self.notifier = Some(notifier);
+        self
     }
 
     /// Submits a root transaction without waiting and returns its handle,
@@ -220,7 +240,9 @@ impl Client {
         // enqueue_root cannot fail: a rejected or abandoned request drops
         // its writer, which resolves the future with an error and fires the
         // hook — the accounting above always balances.
-        let future = self.inner.enqueue_root(reactor_id, proc, args, Some(hook));
+        let future = self
+            .inner
+            .enqueue_root(reactor_id, proc, args, hook, self.notifier.clone());
         Ok(TxnHandle {
             future,
             inner: Arc::clone(&self.inner),

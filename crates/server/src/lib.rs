@@ -1,12 +1,31 @@
 //! TCP wire-protocol front end for a ReactDB-rs engine instance.
 //!
 //! The offline build environment rules out async runtimes, so the server is
-//! a sharded thread-per-core blocking design in the spirit of the paper's
+//! a sharded thread-per-core design in the spirit of the paper's
 //! executor/affinity model: one acceptor thread plus N I/O worker threads,
 //! each new connection pinned to a worker by peer-address hash and never
-//! migrated. A worker owns its connections outright — nonblocking sockets
-//! polled in a loop with a short idle park — so no locks are taken on the
-//! per-connection hot path.
+//! migrated. A worker owns its connections outright, so no locks are taken
+//! on the per-connection hot path.
+//!
+//! **Event loop** — every thread blocks in one `epoll_wait` (`poller.rs`).
+//! A worker registers its nonblocking sockets edge-triggered and owns an
+//! `eventfd` waker; it services its connections, then re-checks for work
+//! and sleeps until one of these wakes it:
+//!
+//! * socket readiness (bytes to read, room to write, peer hang-up);
+//! * a transaction publishing its result — each connection's engine
+//!   session carries a post-publish notifier ([`Client::with_notifier`]);
+//! * the acceptor handing it a connection, or [`Server::shutdown`];
+//! * a follower acknowledgement (the quorum epoch may have advanced while
+//!   a `Replicated` reply is held);
+//! * a deadline: a read or write stall, the shutdown drain, or the 1 ms
+//!   WAL-kick cadence while a `Durable`/`Replicated` reply waits for group
+//!   commit (the kick syncs the log itself, so the next pass replies).
+//!
+//! A waker writes the eventfd only while the worker announced it is going
+//! to sleep (`poller::Waker`), so a busy worker pays no syscall per
+//! completion. The acceptor blocks the same way on the listener and a
+//! shutdown waker.
 //!
 //! Each accepted connection performs the version handshake and then maps
 //! 1:1 onto an engine [`Client`] session. Requests are pipelined: a worker
@@ -53,13 +72,14 @@
 //! wire protocol's metrics op returns that augmented snapshot rendered as
 //! Prometheus text or JSON — the `GET /metrics` equivalent.
 
+mod poller;
 pub mod replica;
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,6 +88,8 @@ use reactdb_common::{AckLevel, ReplicationConfig};
 use reactdb_engine::{Client, ReactDB, TxnHandle};
 use reactdb_obs::{Counter, Gauge, Metrics, MetricsSnapshot, Phase};
 use reactdb_wal::{ShipCursor, ShipEvent};
+
+use poller::{Poller, Waker};
 
 pub use replica::{run_follower, FollowerOpts, FollowerReport};
 
@@ -396,6 +418,23 @@ impl Drop for FollowerRegistration {
     }
 }
 
+/// What other threads reach of one net worker: the waker that ends its
+/// `epoll_wait` and the inbox the acceptor hands connections through.
+struct WorkerSlot {
+    waker: Waker,
+    /// `None` once the worker has exited; a connection handed over after
+    /// that is closed by the acceptor instead.
+    inbox: Mutex<Option<Vec<TcpStream>>>,
+}
+
+impl WorkerSlot {
+    fn inbox(&self) -> std::sync::MutexGuard<'_, Option<Vec<TcpStream>>> {
+        self.inbox
+            .lock()
+            .expect("no thread panics while holding an inbox")
+    }
+}
+
 struct Shared {
     db: Arc<ReactDB>,
     metrics: Arc<Metrics>,
@@ -406,9 +445,18 @@ struct Shared {
     feeders: Mutex<Vec<JoinHandle<()>>>,
     config: ServerConfig,
     shutdown: AtomicBool,
+    workers: Vec<Arc<WorkerSlot>>,
+    /// Ends the acceptor's wait at shutdown.
+    acceptor_waker: Waker,
 }
 
 impl Shared {
+    fn wake_workers(&self) {
+        for worker in &self.workers {
+            worker.waker.wake();
+        }
+    }
+
     /// The engine snapshot augmented with the server's connection counters
     /// and gauges — what the wire metrics op renders.
     fn snapshot(&self) -> MetricsSnapshot {
@@ -509,6 +557,24 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let metrics = db.metrics_registry();
+
+        let mut pollers = Vec::new();
+        let mut slots = Vec::new();
+        for _ in 0..config.workers {
+            let poller = Poller::new()?;
+            let waker = Waker::new()?;
+            poller.add_level(&waker, WAKER_TOKEN)?;
+            pollers.push(poller);
+            slots.push(Arc::new(WorkerSlot {
+                waker,
+                inbox: Mutex::new(Some(Vec::new())),
+            }));
+        }
+        let accept_poller = Poller::new()?;
+        let acceptor_waker = Waker::new()?;
+        accept_poller.add_level(&listener, LISTENER_TOKEN)?;
+        accept_poller.add_level(&acceptor_waker, WAKER_TOKEN)?;
+
         let shared = Arc::new(Shared {
             db,
             metrics,
@@ -517,27 +583,26 @@ impl Server {
             feeders: Mutex::new(Vec::new()),
             config,
             shutdown: AtomicBool::new(false),
+            workers: slots,
+            acceptor_waker,
         });
         shared
             .repl
             .set_quorum(shared.config.replication.effective_quorum());
 
-        let mut senders = Vec::new();
         let mut workers = Vec::new();
-        for idx in 0..shared.config.workers {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            senders.push(tx);
+        for (idx, poller) in pollers.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("reactdb-net-{idx}"))
-                    .spawn(move || worker_loop(shared, rx, idx))?,
+                    .spawn(move || worker_loop(shared, idx, poller))?,
             );
         }
         let acceptor_shared = Arc::clone(&shared);
         let acceptor = std::thread::Builder::new()
             .name("reactdb-net-accept".into())
-            .spawn(move || accept_loop(listener, acceptor_shared, senders))?;
+            .spawn(move || accept_loop(listener, accept_poller, acceptor_shared))?;
 
         Ok(Self {
             shared,
@@ -581,6 +646,8 @@ impl Server {
 
     fn stop_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.acceptor_waker.wake();
+        self.shared.wake_workers();
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -600,29 +667,59 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, senders: Vec<mpsc::Sender<TcpStream>>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.stats.active.fetch_add(1, Ordering::Relaxed);
-                // Pin by peer-address hash so a client's connection always
-                // lands on the same worker (stable, no rebalancing).
-                let mut hash = 0xcbf2_9ce4_8422_2325u64;
-                for b in peer.to_string().bytes() {
-                    hash ^= b as u64;
-                    hash = hash.wrapping_mul(0x100_0000_01b3);
+/// Token of a thread's eventfd waker on its poller; connection tokens
+/// count up from 0.
+const WAKER_TOKEN: u64 = u64::MAX;
+
+/// Token of the listening socket on the acceptor's poller.
+const LISTENER_TOKEN: u64 = 0;
+
+fn accept_loop(listener: TcpListener, mut poller: Poller, shared: Arc<Shared>) {
+    loop {
+        shared.acceptor_waker.prepare_sleep();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        // Both registrations are level-triggered: a connection still
+        // pending, or a wake, ends the wait at once.
+        let mut events = poller
+            .wait(None)
+            .expect("epoll_wait on the acceptor's own poller");
+        if events.any(|e| e.token == WAKER_TOKEN) {
+            shared.acceptor_waker.drain();
+        }
+        shared.acceptor_waker.awake();
+        loop {
+            let (stream, peer) = match listener.accept() {
+                Ok(accepted) => accepted,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    // Out of descriptors or memory: the listener stays
+                    // readable, so back off rather than spin on it.
+                    std::thread::sleep(Duration::from_millis(1));
+                    break;
                 }
-                let worker = (hash % senders.len() as u64) as usize;
-                if senders[worker].send(stream).is_err() {
+            };
+            shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+            shared.stats.active.fetch_add(1, Ordering::Relaxed);
+            // Pin by peer-address hash so a client's connection always
+            // lands on the same worker (stable, no rebalancing).
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for b in peer.to_string().bytes() {
+                hash ^= b as u64;
+                hash = hash.wrapping_mul(0x100_0000_01b3);
+            }
+            let worker = &shared.workers[(hash % shared.workers.len() as u64) as usize];
+            match worker.inbox().as_mut() {
+                Some(inbox) => inbox.push(stream),
+                // The worker has exited (shutting down): close the stream.
+                None => {
                     shared.stats.active.fetch_sub(1, Ordering::Relaxed);
-                    return; // workers gone; shutting down
+                    continue;
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::park_timeout(Duration::from_micros(200));
-            }
-            Err(_) => std::thread::park_timeout(Duration::from_millis(1)),
+            worker.waker.wake();
         }
     }
 }
@@ -637,18 +734,83 @@ struct Pending {
 /// Per-connection state owned by exactly one worker.
 struct Conn {
     stream: TcpStream,
+    /// Poller token; a worker's tokens only grow, so its connection list
+    /// stays sorted by token.
+    token: u64,
     session: Client,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     inflight: VecDeque<Pending>,
     handshaken: bool,
+    /// Edge-triggered readiness: set by a poller report, cleared when a
+    /// read (write) hits `WouldBlock`. Both start set, so a fresh socket
+    /// is tried once before its first report.
+    readable: bool,
+    writable: bool,
     /// Last time a read made progress; the read-stall clock only matters
     /// while the peer owes bytes (mid-handshake or mid-frame).
     last_read: Instant,
     /// Last time a write drained bytes while responses were queued.
     last_write: Instant,
+    /// When the running stall clock (read or write) kills the connection;
+    /// the worker's sleep ends there. `None` while no clock runs.
+    stall_deadline: Option<Instant>,
     /// Set when the connection must be closed.
     kill: Option<KillReason>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream, token: u64, session: Client) -> Self {
+        let now = Instant::now();
+        Self {
+            stream,
+            token,
+            session,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            inflight: VecDeque::new(),
+            handshaken: false,
+            readable: true,
+            writable: true,
+            last_read: now,
+            last_write: now,
+            stall_deadline: None,
+            kill: None,
+        }
+    }
+
+    /// Reads pause while shutting down, at the in-flight cap, or with
+    /// buffers backed up past the high-water mark.
+    fn read_paused(&self, shared: &Shared, shutting: bool) -> bool {
+        shutting
+            || self.inflight.len() >= shared.config.max_in_flight
+            || self.wbuf.len() >= WBUF_HIGH_WATER
+            || self.rbuf.len() >= WBUF_HIGH_WATER
+    }
+
+    /// Whether a [`service`] pass would do anything now: the worker's
+    /// re-check before it sleeps. A reply that resolved but waits for
+    /// durability or a quorum does not count — the worker would spin on
+    /// it; its wake-ups are the WAL-kick deadline and follower acks.
+    fn has_work(
+        &self,
+        shared: &Shared,
+        shutting: bool,
+        durable_epoch: Option<u64>,
+        quorum_epoch: &mut Option<u64>,
+    ) -> bool {
+        let frame_waiting = || !matches!(codec::decode_frame(&self.rbuf), Ok(None));
+        (self.readable && !self.read_paused(shared, shutting))
+            || (self.writable && !self.wbuf.is_empty())
+            || (!self.handshaken && self.rbuf.len() >= codec::HANDSHAKE_LEN)
+            || (self.handshaken
+                && self.inflight.len() < shared.config.max_in_flight
+                && frame_waiting())
+            || self
+                .inflight
+                .iter()
+                .any(|pending| reply_due(shared, pending, durable_epoch, quorum_epoch))
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -676,8 +838,14 @@ const WBUF_HIGH_WATER: usize = 4 << 20;
 /// stalled durable acknowledgements.
 const WAL_KICK_INTERVAL: Duration = Duration::from_millis(1);
 
-fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<TcpStream>, worker_idx: usize) {
+fn worker_loop(shared: Arc<Shared>, worker_idx: usize, mut poller: Poller) {
+    let slot = Arc::clone(&shared.workers[worker_idx]);
+    let notifier: Arc<dyn Fn() + Send + Sync> = {
+        let slot = Arc::clone(&slot);
+        Arc::new(move || slot.waker.wake())
+    };
     let mut conns: Vec<Conn> = Vec::new();
+    let mut next_token = 0u64;
     let mut last_wal_kick = Instant::now();
     let mut drain_deadline: Option<Instant> = None;
 
@@ -688,29 +856,27 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<TcpStream>, worker_idx: u
         }
 
         // Adopt connections the acceptor pinned to this worker.
-        while let Ok(stream) = rx.try_recv() {
-            if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+        let adopted = std::mem::take(
+            slot.inbox()
+                .as_mut()
+                .expect("the inbox stays open while its worker runs"),
+        );
+        for stream in adopted {
+            if stream.set_nonblocking(true).is_err()
+                || stream.set_nodelay(true).is_err()
+                || poller.add_edge(&stream, next_token).is_err()
+            {
                 shared.stats.active.fetch_sub(1, Ordering::Relaxed);
                 continue;
             }
-            let now = Instant::now();
-            conns.push(Conn {
-                stream,
-                session: shared.db.client(),
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                inflight: VecDeque::new(),
-                handshaken: false,
-                last_read: now,
-                last_write: now,
-                kill: None,
-            });
+            let session = shared.db.client().with_notifier(Arc::clone(&notifier));
+            conns.push(Conn::new(stream, next_token, session));
+            next_token += 1;
         }
 
-        let mut progressed = false;
         let mut want_wal_kick = false;
         for conn in conns.iter_mut() {
-            progressed |= service(&shared, conn, worker_idx, shutting, &mut want_wal_kick);
+            service(&shared, conn, worker_idx, shutting, &mut want_wal_kick);
         }
 
         // A durable acknowledgement is waiting on group commit; nudge the
@@ -735,6 +901,10 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<TcpStream>, worker_idx: u
                 }
                 KillReason::Gone | KillReason::Drained | KillReason::ReplHandoff => {}
             }
+            // Deregister before the drop: a handed-off socket shares its
+            // open file description with the feeder's duplicate, and epoll
+            // forgets a registration only once every duplicate is closed.
+            let _ = poller.delete(&conn.stream);
             // Dropping the connection drops its session and handles; the
             // engine resolves whatever was still in flight on its own, so
             // a mid-run kill leaks nothing.
@@ -755,6 +925,14 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<TcpStream>, worker_idx: u
         if shutting {
             let deadline_passed = drain_deadline.is_some_and(|d| Instant::now() >= d);
             if conns.is_empty() || deadline_passed {
+                // Close the inbox: the acceptor closes any connection it
+                // hands over from now on, and those handed over since the
+                // last adoption are dropped here.
+                let leftover = slot.inbox().take().unwrap_or_default();
+                shared
+                    .stats
+                    .active
+                    .fetch_sub(leftover.len() as u64, Ordering::Relaxed);
                 return;
             }
             let drained = conns
@@ -768,58 +946,125 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<TcpStream>, worker_idx: u
             }
         }
 
-        if !progressed {
-            std::thread::park_timeout(Duration::from_micros(100));
+        // Announce the sleep, then re-check everything a wake-up stands
+        // for: a waker that fires after the announcement writes the
+        // eventfd; one that fired before it left its change visible here.
+        slot.waker.prepare_sleep();
+        let durable_epoch = shared.db.durable_epoch();
+        let mut quorum_epoch = None;
+        let ready = shared.shutdown.load(Ordering::SeqCst) != shutting
+            || slot.inbox().as_ref().is_some_and(|inbox| !inbox.is_empty())
+            || conns
+                .iter()
+                .any(|c| c.has_work(&shared, shutting, durable_epoch, &mut quorum_epoch));
+        if ready {
+            slot.waker.awake();
+            continue;
         }
+        let wal_kick_at = want_wal_kick.then(|| last_wal_kick + WAL_KICK_INTERVAL);
+        let deadline = conns
+            .iter()
+            .filter_map(|c| c.stall_deadline)
+            .chain(drain_deadline)
+            .chain(wal_kick_at)
+            .min();
+        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        let events = poller
+            .wait(timeout)
+            .expect("epoll_wait on the worker's own poller");
+        for event in events {
+            if event.token == WAKER_TOKEN {
+                slot.waker.drain();
+            } else if let Ok(idx) = conns.binary_search_by_key(&event.token, |c| c.token) {
+                conns[idx].readable |= event.readable();
+                conns[idx].writable |= event.writable();
+            }
+        }
+        slot.waker.awake();
     }
 }
 
-/// Services one connection once: read, handshake, decode/dispatch, poll
-/// in-flight transactions, flush, and check stall deadlines. Returns true
-/// when any byte or transaction moved (the worker's idle heuristic).
+/// True while a committed `Durable`/`Replicated` invoke waits for its ack
+/// point: group commit covering its epoch and, for `Replicated`, a
+/// *quorum* of followers having durably applied it. With no WAL configured
+/// both levels degrade to validated, like the in-process `wait_durable`.
+/// `quorum_epoch` caches the roster lookup across calls.
+fn held(
+    shared: &Shared,
+    pending: &Pending,
+    durable_epoch: Option<u64>,
+    quorum_epoch: &mut Option<u64>,
+) -> bool {
+    if !pending.ack.requires_durable() {
+        return false;
+    }
+    let (Some(durable), Some(commit)) = (durable_epoch, pending.handle.commit_epoch()) else {
+        return false;
+    };
+    let replicated = !pending.ack.requires_replicated()
+        || commit <= *quorum_epoch.get_or_insert_with(|| shared.repl.quorum_epoch());
+    !(commit <= durable && replicated)
+}
+
+/// Whether `pending` can be replied to now. Aborts are never durable and
+/// reply as soon as they resolve.
+fn reply_due(
+    shared: &Shared,
+    pending: &Pending,
+    durable_epoch: Option<u64>,
+    quorum_epoch: &mut Option<u64>,
+) -> bool {
+    if !pending.ack.requires_durable() {
+        return pending.handle.is_resolved();
+    }
+    match pending.handle.try_result() {
+        None => false,
+        Some(Err(_)) => true,
+        Some(Ok(_)) => !held(shared, pending, durable_epoch, quorum_epoch),
+    }
+}
+
+/// Services one connection once: read, handshake, decode/dispatch, reply
+/// to resolved transactions, flush, and check stall deadlines.
 fn service(
     shared: &Arc<Shared>,
     conn: &mut Conn,
     worker_idx: usize,
     shutting: bool,
     want_wal_kick: &mut bool,
-) -> bool {
+) {
     if conn.kill.is_some() {
-        return false;
+        return;
     }
-    let mut progressed = false;
 
-    // Read — unless shutting down, backpressured, or buffers are backed up
-    // past the high-water mark.
-    let paused = shutting
-        || conn.inflight.len() >= shared.config.max_in_flight
-        || conn.wbuf.len() >= WBUF_HIGH_WATER
-        || conn.rbuf.len() >= WBUF_HIGH_WATER;
+    let paused = conn.read_paused(shared, shutting);
     if paused {
         // Not our peer's fault we aren't reading; restart its window so
         // the stall clock measures only willing-to-read time.
         conn.last_read = Instant::now();
-    } else {
+    } else if conn.readable {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.kill = Some(KillReason::Gone);
-                    return true;
+                    return;
                 }
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
                     conn.last_read = Instant::now();
-                    progressed = true;
                     if conn.rbuf.len() >= WBUF_HIGH_WATER {
                         break; // plenty buffered; decode before reading more
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    conn.readable = false;
+                    break;
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.kill = Some(KillReason::Gone);
-                    return true;
+                    return;
                 }
             }
         }
@@ -839,14 +1084,13 @@ fn service(
                 // Tell the client which version we speak, then hang up.
                 let _ = conn.stream.write_all(&codec::server_hello(false));
                 conn.kill = Some(KillReason::HandshakeRejected);
-                return true;
+                return;
             }
             Err(_) => {
                 conn.kill = Some(KillReason::HandshakeRejected);
-                return true;
+                return;
             }
         }
-        progressed = true;
     }
 
     // Decode and dispatch pipelined requests up to the in-flight cap.
@@ -858,12 +1102,12 @@ fn service(
                 Ok(request) => (request, consumed),
                 Err(_) => {
                     conn.kill = Some(KillReason::Malformed);
-                    return true;
+                    return;
                 }
             },
             Err(_) => {
                 conn.kill = Some(KillReason::Malformed);
-                return true;
+                return;
             }
         };
         conn.rbuf.drain(..consumed);
@@ -873,7 +1117,6 @@ fn service(
                 .record_elapsed(Phase::NetDecode, worker_idx, since);
         }
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        progressed = true;
 
         let dispatch_clock = shared.metrics.clock();
         match request {
@@ -934,7 +1177,7 @@ fn service(
                 follower_id,
             } => {
                 subscribe_follower(shared, conn, worker_idx, correlation_id, follower_id);
-                return true;
+                return;
             }
             // Acks are read by the feeder on the subscribed connection
             // they belong to; one arriving on an ordinary connection has
@@ -949,11 +1192,9 @@ fn service(
         }
     }
 
-    // Poll in-flight transactions; reply to whatever reached its ack point.
+    // Reply to every in-flight transaction that reached its ack point, in
+    // whatever order they resolved.
     let durable_epoch = shared.db.durable_epoch();
-    // The quorum epoch takes the roster lock; compute it at most once per
-    // pass, and only when some pending invoke actually asked for a
-    // replicated ack.
     let mut quorum_epoch: Option<u64> = None;
     let mut still_pending = VecDeque::with_capacity(conn.inflight.len());
     while let Some(pending) = conn.inflight.pop_front() {
@@ -964,28 +1205,10 @@ fn service(
             }
             Some(outcome) => outcome,
         };
-        // A durable-ack commit waits until group commit covers its epoch;
-        // a replicated-ack commit additionally waits until a *quorum* of
-        // followers has acknowledged durably applying it. Aborts are
-        // never durable and reply immediately. With no WAL configured
-        // both levels degrade to validated, like the in-process
-        // `wait_durable`.
-        if pending.ack.requires_durable() && outcome.is_ok() {
-            let covered = match (pending.handle.commit_epoch(), durable_epoch) {
-                (Some(commit), Some(durable)) => commit <= durable,
-                (_, None) => true,
-                (None, Some(_)) => true,
-            };
-            let replicated = !pending.ack.requires_replicated()
-                || durable_epoch.is_none()
-                || pending.handle.commit_epoch().is_none_or(|commit| {
-                    commit <= *quorum_epoch.get_or_insert_with(|| shared.repl.quorum_epoch())
-                });
-            if !(covered && replicated) {
-                *want_wal_kick = true;
-                still_pending.push_back(pending);
-                continue;
-            }
+        if outcome.is_ok() && held(shared, &pending, durable_epoch, &mut quorum_epoch) {
+            *want_wal_kick = true;
+            still_pending.push_back(pending);
+            continue;
         }
         let response = match outcome {
             Ok(value) => Response::TxnOk {
@@ -1000,32 +1223,30 @@ fn service(
         };
         shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         reply(shared, conn, worker_idx, &response);
-        progressed = true;
     }
     conn.inflight = still_pending;
 
     // Flush the send buffer.
-    while !conn.wbuf.is_empty() {
+    while conn.writable && !conn.wbuf.is_empty() {
         match conn.stream.write(&conn.wbuf) {
             Ok(0) => {
                 conn.kill = Some(KillReason::Gone);
-                return true;
+                return;
             }
             Ok(n) => {
                 conn.wbuf.drain(..n);
                 conn.last_write = Instant::now();
-                progressed = true;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => conn.writable = false,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
                 conn.kill = Some(KillReason::Gone);
-                return true;
+                return;
             }
         }
     }
 
-    // Stall deadlines. The read clock only matters while the peer owes us
+    // Stall deadlines. The read clock only runs while the peer owes us
     // bytes — mid-handshake or with the buffer's first frame incomplete —
     // and only when we were actually willing to read (a connection paused
     // by our own backpressure is not the peer stalling). An idle client
@@ -1033,24 +1254,34 @@ fn service(
     let partial_frame =
         !conn.rbuf.is_empty() && matches!(codec::decode_frame(&conn.rbuf), Ok(None));
     let owes_bytes = !conn.handshaken || partial_frame;
-    if !paused && owes_bytes && conn.last_read.elapsed() >= shared.config.read_timeout {
+    let read_deadline =
+        (!paused && owes_bytes).then(|| conn.last_read + shared.config.read_timeout);
+    let write_deadline =
+        (!conn.wbuf.is_empty()).then(|| conn.last_write + shared.config.write_timeout);
+    conn.stall_deadline = read_deadline.into_iter().chain(write_deadline).min();
+    if conn.stall_deadline.is_some_and(|d| Instant::now() >= d) {
         conn.kill = Some(KillReason::Stalled);
-        return true;
     }
-    if !conn.wbuf.is_empty() && conn.last_write.elapsed() >= shared.config.write_timeout {
-        conn.kill = Some(KillReason::Stalled);
-        return true;
-    }
-
-    progressed
 }
 
 /// Encodes a response and queues it on the connection's send buffer,
 /// recording the reply phase.
 fn reply(shared: &Shared, conn: &mut Conn, worker_idx: usize, response: &Response) {
     let clock = shared.metrics.clock();
-    let framed = codec::frame(&codec::encode_response(response));
-    conn.wbuf.extend_from_slice(&framed);
+    let mut payload = codec::encode_response(response);
+    if payload.len() > codec::MAX_FRAME_LEN as usize {
+        // Too big for one frame (a large metrics render): answer with an
+        // error the client can read rather than break the connection.
+        payload = codec::encode_response(&Response::ServerError {
+            correlation_id: response.correlation_id(),
+            message: format!(
+                "reply of {} bytes exceeds the {}-byte frame cap",
+                payload.len(),
+                codec::MAX_FRAME_LEN
+            ),
+        });
+    }
+    conn.wbuf.extend_from_slice(&codec::frame(&payload));
     if let Some(since) = clock {
         shared
             .metrics
@@ -1274,6 +1505,9 @@ fn feeder_loop(
                                 != Some(reactdb_wal::failpoint::FpAction::Err)
                             {
                                 shared.repl.observe_ack(follower_id, applied_epoch);
+                                // The quorum epoch may have moved past a
+                                // held `Replicated` reply.
+                                shared.wake_workers();
                             }
                         }
                         Ok(_) => {} // a subscribed connection is repl-only

@@ -271,7 +271,7 @@ pub fn run_follower(
                 disconnected_at.get_or_insert_with(Instant::now);
                 if attempts_left > 0 {
                     attempts_left -= 1;
-                    std::thread::park_timeout(opts.reconnect_backoff);
+                    std::thread::sleep(opts.reconnect_backoff);
                     continue;
                 }
                 if !opts.promote_on_disconnect {

@@ -578,8 +578,21 @@ impl Wal {
             .spawn(move || {
                 let period = Duration::from_millis(interval_ms);
                 let mut last_fence = 0u64;
-                while !wal.stop.load(Ordering::Acquire) {
-                    std::thread::sleep(period);
+                loop {
+                    // Park out the period; `shutdown` unparks the daemon, so
+                    // stopping never waits for the rest of an interval.
+                    // Parks may return early, hence the deadline loop.
+                    let next = Instant::now() + period;
+                    loop {
+                        if wal.stop.load(Ordering::Acquire) {
+                            return;
+                        }
+                        let now = Instant::now();
+                        if now >= next {
+                            break;
+                        }
+                        std::thread::park_timeout(next - now);
+                    }
                     // Skip the I/O when no new epoch can have completed.
                     let fence = wal.epoch.current();
                     if fence == last_fence {
@@ -599,6 +612,7 @@ impl Wal {
     pub fn shutdown(&self, flush: bool) {
         self.stop.store(true, Ordering::Release);
         if let Some(handle) = self.daemon.lock().take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         if flush && !self.closed.load(Ordering::Acquire) {

@@ -183,32 +183,42 @@ fn relations() -> Vec<RelationDef> {
     ]
 }
 
-/// Performs the stock update of one order line. `args`:
-/// `[i_id, quantity, remote(bool), delay_units]`.
+/// Performs the stock updates of every order line one warehouse supplies
+/// to a new-order. `args`: `[remote(bool), delay_units, (i_id, quantity)*]`.
+/// Returns the number of lines updated.
 fn stock_update(ctx: &mut ReactorCtx<'_>, args: &[Value]) -> Result<Value> {
-    let i_id = args[0].as_int();
-    let quantity = args[1].as_int();
-    let remote = args[2].as_bool();
-    let delay_units = args[3].as_int() as u64;
-    if delay_units > 0 {
-        // Stock replenishment calculation of §4.3.2, modelled as CPU work.
-        ctx.busy_work(delay_units);
+    let remote = args[0].as_bool();
+    let delay_units = args[1].as_int() as u64;
+    let lines = &args[2..];
+    if lines.is_empty() || !lines.len().is_multiple_of(2) {
+        return Err(TxnError::BadArguments(
+            "stock_update needs (item, qty) pairs".into(),
+        ));
     }
-    let row = ctx.update_with("stock", &Key::Int(i_id), |t| {
-        let s_quantity = t.at(1).as_int();
-        let new_quantity = if s_quantity - quantity >= 10 {
-            s_quantity - quantity
-        } else {
-            s_quantity - quantity + 91
-        };
-        t.values_mut()[1] = Value::Int(new_quantity);
-        t.values_mut()[2] = Value::Int(t.at(2).as_int() + quantity);
-        t.values_mut()[3] = Value::Int(t.at(3).as_int() + 1);
-        if remote {
-            t.values_mut()[4] = Value::Int(t.at(4).as_int() + 1);
+    for line in lines.chunks(2) {
+        let i_id = line[0].as_int();
+        let quantity = line[1].as_int();
+        if delay_units > 0 {
+            // Stock replenishment calculation of §4.3.2, modelled as CPU
+            // work per remote item.
+            ctx.busy_work(delay_units);
         }
-    })?;
-    Ok(Value::Int(row.at(1).as_int()))
+        ctx.update_with("stock", &Key::Int(i_id), |t| {
+            let s_quantity = t.at(1).as_int();
+            let new_quantity = if s_quantity - quantity >= 10 {
+                s_quantity - quantity
+            } else {
+                s_quantity - quantity + 91
+            };
+            t.values_mut()[1] = Value::Int(new_quantity);
+            t.values_mut()[2] = Value::Int(t.at(2).as_int() + quantity);
+            t.values_mut()[3] = Value::Int(t.at(3).as_int() + 1);
+            if remote {
+                t.values_mut()[4] = Value::Int(t.at(4).as_int() + 1);
+            }
+        })?;
+    }
+    Ok(Value::Int((lines.len() / 2) as i64))
 }
 
 /// The new-order transaction. `args`:
@@ -248,7 +258,32 @@ fn new_order(ctx: &mut ReactorCtx<'_>, args: &[Value]) -> Result<Value> {
     )?;
     ctx.insert("new_order", Tuple::of([Value::Int(d_id), Value::Int(o_id)]))?;
 
+    // Stock maintenance, one batched call per supplying warehouse: the
+    // remote batches are asynchronous sub-transactions on their warehouse
+    // reactors, issued first so they overlap the order-line processing
+    // below; the local batch is an inlined self-call. One call per
+    // warehouse is also what §2.2.4 demands: two sub-transactions of one
+    // root active on the same reactor at once form a dangerous structure.
     let my_name = ctx.reactor_name().to_owned();
+    let mut batches: Vec<(&str, Vec<Value>)> = Vec::new();
+    for line in lines.chunks(3) {
+        let supply = line[1].as_str();
+        let at = match batches.iter().position(|(w, _)| *w == supply) {
+            Some(at) => at,
+            None => {
+                let remote = supply != my_name;
+                let delay = if remote { delay_units } else { 0 };
+                batches.push((supply, vec![Value::Bool(remote), Value::Int(delay)]));
+                batches.len() - 1
+            }
+        };
+        batches[at].1.extend([line[0].clone(), line[2].clone()]);
+    }
+    batches.sort_by_key(|(w, _)| *w == my_name); // stable: remote first
+    for (supply, args) in batches {
+        ctx.call(supply, "stock_update", args)?;
+    }
+
     let mut total_amount = 0.0;
     for (ol_number, line) in lines.chunks(3).enumerate() {
         let i_id = line[0].as_int();
@@ -257,22 +292,6 @@ fn new_order(ctx: &mut ReactorCtx<'_>, args: &[Value]) -> Result<Value> {
         let item = ctx.get_expected("item", &Key::Int(i_id))?;
         let amount = item.at(2).as_float() * qty as f64;
         total_amount += amount;
-
-        // Stock maintenance: local items are updated here (an inlined
-        // self-call); remote items are asynchronous sub-transactions on the
-        // supplying warehouse reactor, overlapped with the rest of the
-        // order-line processing.
-        let remote = supply != my_name;
-        ctx.call(
-            &supply,
-            "stock_update",
-            vec![
-                Value::Int(i_id),
-                Value::Int(qty),
-                Value::Bool(remote),
-                Value::Int(if remote { delay_units } else { 0 }),
-            ],
-        )?;
 
         ctx.insert(
             "order_line",
@@ -838,14 +857,19 @@ impl TpccSimWorkload {
 
     fn new_order_profile(&self, home: usize, rng: &mut StdRng) -> SimTxn {
         let ol_cnt = rng.gen_range(5..=15);
-        let mut remote: Vec<usize> = Vec::new();
+        // Remote items grouped by supplying warehouse, as the engine's
+        // new-order batches them: `(warehouse, items)`.
+        let mut remote: Vec<(usize, usize)> = Vec::new();
         let mut local_items = 0usize;
         for _ in 0..ol_cnt {
             if self.warehouses > 1 && rng.gen_bool(self.remote_item_prob) {
                 loop {
                     let w = rng.gen_range(0..self.warehouses);
                     if w != home {
-                        remote.push(w);
+                        match remote.iter_mut().find(|(rw, _)| *rw == w) {
+                            Some((_, items)) => *items += 1,
+                            None => remote.push((w, 1)),
+                        }
                         break;
                     }
                 }
@@ -862,8 +886,9 @@ impl TpccSimWorkload {
             + local_items as f64 * self.costs.stock_update_us;
         let mut txn = SimTxn::leaf(home, self.costs.new_order_base_us)
             .with_overlap(local_work - self.costs.new_order_base_us);
-        for w in remote {
-            txn = txn.with_async(SimTxn::leaf(w, self.costs.stock_update_us + delay));
+        for (w, items) in remote {
+            let cost = items as f64 * (self.costs.stock_update_us + delay);
+            txn = txn.with_async(SimTxn::leaf(w, cost));
         }
         txn
     }

@@ -346,3 +346,38 @@ fn buffered_mode_replays_flushed_commits() {
     assert_eq!(savings_balance(&recovered, 3), INITIAL_BALANCE + 123.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn shutdown_and_crash_do_not_wait_out_the_group_commit_interval() {
+    // A 10 s group-commit daemon must not hold a teardown for the rest of
+    // its period: both a clean shutdown and a simulated crash wake it.
+    for crash in [false, true] {
+        let dir = wal_dir(if crash {
+            "slow-daemon-crash"
+        } else {
+            "slow-daemon-drop"
+        });
+        let config = DeploymentConfig::shared_nothing(2)
+            .with_durability(DurabilityConfig::epoch_sync(&dir).with_interval_ms(10_000));
+        let db = ReactDB::boot(smallbank::spec(CUSTOMERS), config);
+        smallbank::load(&db, CUSTOMERS).unwrap();
+        db.invoke(
+            &customer_name(0),
+            "deposit_checking",
+            vec![Value::Float(5.0)],
+        )
+        .unwrap();
+        let started = std::time::Instant::now();
+        if crash {
+            db.simulate_crash();
+        } else {
+            drop(db);
+        }
+        let took = started.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(5),
+            "teardown (crash: {crash}) took {took:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

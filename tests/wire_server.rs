@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use reactdb::common::{DeploymentConfig, DurabilityConfig, Value};
 use reactdb::engine::ReactDB;
+use reactdb::workloads::smallbank;
 use reactdb_client::{codec, WireClient};
 use reactdb_server::{Server, ServerConfig};
 use support::history::{load, spec, SHARDS};
@@ -231,5 +232,115 @@ fn graceful_shutdown_drains_and_releases_the_log_dir_lock() {
     drop(db);
     let recovered = ReactDB::recover(spec(), config).unwrap();
     drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sequential_invokes_on_an_idle_connection_never_miss_a_wakeup() {
+    // One request outstanding at a time: every reply depends on the
+    // worker waking for the transaction's publication and then for the
+    // socket, so a lost wake-up hangs the request instead of slowing it.
+    let (server, db) = boot_server(ServerConfig::default());
+    let client = WireClient::connect(server.local_addr()).unwrap();
+    for i in 0..5_000i64 {
+        let handle = client
+            .submit("shard-0", "rmw", vec![Value::Int(i), Value::Int(i % 4)])
+            .unwrap();
+        match handle.wait_timeout(Duration::from_secs(5)) {
+            Some(result) => {
+                result.unwrap();
+            }
+            None => panic!("invoke {i} got no reply within 5 s"),
+        }
+    }
+    assert_eq!(server.net_stats().in_flight(), 0);
+    server.shutdown();
+    drop(db);
+}
+
+#[test]
+fn a_connection_stalled_mid_frame_is_reaped_at_the_read_timeout() {
+    let read_timeout = Duration::from_millis(200);
+    let (server, db) =
+        boot_server(ServerConfig::default().with_timeouts(read_timeout, Duration::from_secs(30)));
+    let addr = server.local_addr();
+    // An idle connection owes the server nothing and must survive.
+    let idle = WireClient::connect(addr).unwrap();
+    idle.ping().unwrap();
+
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled.write_all(&codec::client_hello()).unwrap();
+    let mut reply = [0u8; codec::HANDSHAKE_LEN];
+    stalled.read_exact(&mut reply).unwrap();
+    codec::parse_server_hello(&reply).unwrap();
+    let frame = codec::frame(&codec::encode_request(&codec::Request::Ping {
+        correlation_id: 1,
+    }));
+    stalled.write_all(&frame[..frame.len() / 2]).unwrap();
+    let sent = Instant::now();
+
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut scratch = [0u8; 16];
+    assert_eq!(
+        stalled.read(&mut scratch).unwrap(),
+        0,
+        "stalled peer closed"
+    );
+    let waited = sent.elapsed();
+    assert!(
+        waited >= read_timeout - Duration::from_millis(20),
+        "reaped after {waited:?}, before the read timeout"
+    );
+    eventually("stall kill accounted", || {
+        server.net_stats().timeouts() == 1
+    });
+    let text = server.metrics_snapshot().to_prometheus_text();
+    assert!(
+        text.contains("net_connections_killed{reason=\"timeout\"} 1"),
+        "timeout kill missing from the metrics"
+    );
+
+    idle.ping().unwrap();
+    assert_eq!(
+        server.net_stats().timeouts(),
+        1,
+        "the idle connection lives"
+    );
+    server.shutdown();
+    drop(db);
+}
+
+#[test]
+fn an_oversized_metrics_reply_is_an_error_and_the_connection_lives() {
+    // With the WAL on, every logged table renders its own counters, so
+    // a few thousand SmallBank customers render more than one frame holds.
+    let dir = std::env::temp_dir().join(format!("reactdb-wire-big-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let customers = 3_000;
+    let config = DeploymentConfig::shared_nothing(2)
+        .with_durability(DurabilityConfig::epoch_sync(dir.to_string_lossy()));
+    let db = Arc::new(ReactDB::boot(smallbank::spec(customers), config));
+    smallbank::load(&db, customers).unwrap();
+    // One worker, so the error and the ping below meet the same loop.
+    let server = Server::start(Arc::clone(&db), ServerConfig::default().with_workers(1)).unwrap();
+    let rendered = server.metrics_snapshot().to_prometheus_text().len();
+    assert!(
+        rendered > codec::MAX_FRAME_LEN as usize,
+        "metrics render {rendered} bytes: too small to test the cap"
+    );
+
+    let client = WireClient::connect(server.local_addr()).unwrap();
+    let err = client.metrics_prometheus().unwrap_err();
+    assert!(format!("{err:?}").contains("frame cap"), "{err:?}");
+    client.ping().unwrap();
+    assert!(!client.is_dead());
+    WireClient::connect(server.local_addr())
+        .unwrap()
+        .ping()
+        .unwrap();
+    server.shutdown();
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
