@@ -1,9 +1,9 @@
 //! Durability-cost micro-benchmark: the same single-reactor deposit
-//! workload on the live engine with durability off, buffered logging, and
-//! epoch-based group commit. The interesting quantity is the overhead the
-//! logging fast path (render redo records + buffered append under the
-//! writer mutex) adds to a commit — with group commit it should be small,
-//! because no disk I/O ever happens on the commit path.
+//! workload on the live engine with durability off and with epoch-based
+//! group commit. The interesting quantity is the overhead the logging fast
+//! path (render redo records + buffered append under the writer mutex) adds
+//! to a commit — with group commit it should be small, because no disk I/O
+//! ever happens on the commit path.
 //!
 //! The `durable-ack` variant compares the two client acknowledgement modes
 //! under EpochSync: serial `invoke` (validation-time ack, one round trip
@@ -64,12 +64,6 @@ fn bench_wal(c: &mut Criterion) {
     let off = boot(DurabilityConfig::off());
     run_deposits(c, "wal/deposit_durability_off", &off);
     drop(off);
-
-    let buffered_dir = bench_dir("buffered");
-    let buffered = boot(DurabilityConfig::buffered(&buffered_dir));
-    run_deposits(c, "wal/deposit_buffered", &buffered);
-    drop(buffered);
-    let _ = std::fs::remove_dir_all(&buffered_dir);
 
     // Group commit with the default 10 ms daemon: commits only pay the
     // buffered append; the daemon fsyncs on epoch boundaries concurrently.
@@ -266,34 +260,19 @@ fn bench_delta_log_volume(c: &mut Criterion) {
     );
     let _ = std::fs::remove_dir_all(&delta_dir);
 
-    let packed_dir = bench_dir("delta-compressed");
-    let packed = measure_bytes_per_txn(
-        DurabilityConfig::epoch_sync(&packed_dir)
-            .with_interval_ms(0)
-            .with_delta_logging(true)
-            .with_compression(true),
-    );
-    let _ = std::fs::remove_dir_all(&packed_dir);
-
     println!(
-        "wal/delta: log bytes per txn — full {full:.1}, delta {delta:.1}, \
-         delta+rle {packed:.1} ({:.1}x reduction)",
+        "wal/delta: log bytes per txn — full {full:.1}, delta {delta:.1} \
+         ({:.1}x reduction)",
         full / delta
     );
     emit_metric("wal/update_log_bytes_per_txn_full", full, DELTA_TXNS);
     emit_metric("wal/update_log_bytes_per_txn_delta", delta, DELTA_TXNS);
-    emit_metric("wal/update_log_bytes_per_txn_delta_rle", packed, DELTA_TXNS);
     // The acceptance gate: the whole point of the format. Byte counts are
     // deterministic, so a regression here is a real format regression.
     assert!(
         full >= 2.0 * delta,
         "delta logging must at least halve log bytes per update txn on \
          wide rows: full {full:.1} vs delta {delta:.1}"
-    );
-    assert!(
-        packed <= delta,
-        "record compression must never grow the log: delta {delta:.1} vs \
-         delta+rle {packed:.1}"
     );
 
     // Commit latency with the diff + delta encode on the hot path.

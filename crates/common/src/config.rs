@@ -89,13 +89,11 @@ pub enum DeploymentStrategy {
 pub enum DurabilityMode {
     /// No logging: every commit is volatile (the seed behaviour).
     Off,
-    /// Redo records are buffered and written to the log files opportunistically
-    /// (on buffer pressure and clean shutdown) without fsync and without a
-    /// durable-epoch marker. Recovery replays every intact record.
-    Buffered,
-    /// Full epoch-based group commit: a daemon flushes and fsyncs all log
+    /// Epoch-based group commit: a daemon flushes and fsyncs all log
     /// writers on epoch boundaries and advances the durable-epoch marker.
-    /// Recovery replays exactly the transactions of fully synced epochs.
+    /// No redo byte reaches the OS outside a group commit, so recovery
+    /// replays exactly the transactions of fully synced epochs — a prefix
+    /// of the commit order.
     EpochSync,
 }
 
@@ -116,16 +114,10 @@ pub struct DurabilityConfig {
     /// the full row image. Inserts, deletes and the first touch of a key
     /// since the writer's segment rotation stay full-image, so every delta
     /// chain in a surviving segment generation is rooted in a full image
-    /// (or in a checkpoint row). Only effective under
-    /// [`DurabilityMode::EpochSync`]: buffered-mode flushes are per-writer
-    /// and could persist a delta without its cross-writer base.
+    /// (or in a checkpoint row). The group commit's epoch fence makes a
+    /// base's durability imply its delta's, across writers.
     #[serde(default)]
     pub delta_logging: bool,
-    /// Record-level compression of redo frame bodies (RLE / zero
-    /// suppression). Applied to full images and delta bodies alike, only
-    /// when the compressed form is actually smaller.
-    #[serde(default)]
-    pub compress_records: bool,
 }
 
 impl Default for DurabilityConfig {
@@ -135,7 +127,6 @@ impl Default for DurabilityConfig {
             log_dir: None,
             group_commit_interval_ms: 10,
             delta_logging: false,
-            compress_records: false,
         }
     }
 }
@@ -144,16 +135,6 @@ impl DurabilityConfig {
     /// Durability disabled (volatile commits).
     pub fn off() -> Self {
         Self::default()
-    }
-
-    /// Buffered logging into `log_dir` without epoch-boundary fsyncs.
-    pub fn buffered(log_dir: impl Into<String>) -> Self {
-        Self {
-            mode: DurabilityMode::Buffered,
-            log_dir: Some(log_dir.into()),
-            group_commit_interval_ms: 0,
-            ..Self::default()
-        }
     }
 
     /// Epoch-based group commit into `log_dir` with the default daemon
@@ -177,13 +158,6 @@ impl DurabilityConfig {
     /// [`DurabilityConfig::delta_logging`]).
     pub fn with_delta_logging(mut self, on: bool) -> Self {
         self.delta_logging = on;
-        self
-    }
-
-    /// Enables or disables record-level RLE compression of redo frame
-    /// bodies (see [`DurabilityConfig::compress_records`]).
-    pub fn with_compression(mut self, on: bool) -> Self {
-        self.compress_records = on;
         self
     }
 
@@ -713,18 +687,29 @@ mod tests {
     }
 
     #[test]
-    fn durability_delta_and_compression_builders_roundtrip() {
-        let durability = DurabilityConfig::epoch_sync("/tmp/x")
-            .with_delta_logging(true)
-            .with_compression(true);
-        assert!(durability.delta_logging && durability.compress_records);
+    fn durability_delta_logging_roundtrips() {
+        let durability = DurabilityConfig::epoch_sync("/tmp/x").with_delta_logging(true);
+        assert!(durability.delta_logging);
         assert!(
-            !DurabilityConfig::off().delta_logging && !DurabilityConfig::off().compress_records,
-            "delta logging and compression are opt-in"
+            !DurabilityConfig::off().delta_logging,
+            "delta logging is opt-in"
         );
         let cfg = DeploymentConfig::shared_nothing(2).with_durability(durability);
         let back = DeploymentConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(cfg, back);
+    }
+
+    #[test]
+    fn durability_modes_other_than_off_and_epoch_sync_are_rejected() {
+        let cfg = DeploymentConfig::shared_nothing(2)
+            .with_durability(DurabilityConfig::epoch_sync("/tmp/x"));
+        let json = cfg.to_json();
+        assert!(json.contains("\"EpochSync\""));
+        let retired = json.replace("\"EpochSync\"", "\"Buffered\"");
+        assert!(
+            DeploymentConfig::from_json(&retired).is_err(),
+            "a config naming the removed Buffered mode must not parse"
+        );
     }
 
     #[test]
@@ -736,7 +721,7 @@ mod tests {
         let json = cfg.to_json();
         let kept: Vec<&str> = json
             .lines()
-            .filter(|l| !l.contains("delta_logging") && !l.contains("compress_records"))
+            .filter(|l| !l.contains("delta_logging"))
             .collect();
         // Stripping the last fields of an object leaves a trailing comma;
         // drop it where the next kept line closes the object.

@@ -126,8 +126,7 @@ impl ReactDB {
 
     /// Boots a reactor database and replays the write-ahead log found in the
     /// deployment's log directory: every transaction of a fully synced epoch
-    /// (and, in buffered mode, every intact logged transaction) is
-    /// re-applied in commit-TID order before the database starts serving,
+    /// is re-applied in commit-TID order before the database starts serving,
     /// and the epoch / TID-generator high-water marks resume beyond
     /// everything observed in the log.
     pub fn recover(spec: ReactorDatabaseSpec, config: DeploymentConfig) -> Result<Self> {
@@ -202,7 +201,7 @@ impl ReactDB {
 
             // Crash recovery: replay the log before anything can run.
             if recover {
-                let recovered = reactdb_wal::recover_and_compact(&dir, config.durability.mode)?;
+                let recovered = reactdb_wal::recover_and_compact(&dir)?;
                 // Route by the *current* reactor-to-container mapping:
                 // recovery may legitimately restore the log under a
                 // different deployment of the same reactor database. A
@@ -279,10 +278,7 @@ impl ReactDB {
                 // Resume beyond every epoch observed in the log (durable or
                 // discarded) so no pre-crash (epoch, sequence) pair is
                 // reissued.
-                let mut resume = recovered.max_epoch_seen;
-                if recovered.durable_epoch != u64::MAX {
-                    resume = resume.max(recovered.durable_epoch);
-                }
+                let resume = recovered.max_epoch_seen.max(recovered.durable_epoch);
                 epoch.advance_to(resume + 1);
                 for exec in &executors {
                     exec.tidgen().observe(recovered.max_tid);

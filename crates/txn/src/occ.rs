@@ -512,8 +512,8 @@ impl OccTxn {
 
     /// Appends this transaction's buffered inserts/updates on `table`
     /// whose index key (per `positions`) satisfies `matches` and whose
-    /// primary key is not already present in `out`. Buffered writes are
-    /// not in the secondary index until commit, so index reads must merge
+    /// primary key is not already present in `out`. Writes held in the
+    /// write set are not in the secondary index until commit, so index reads must merge
     /// them explicitly.
     fn merge_own_index_writes(
         &self,

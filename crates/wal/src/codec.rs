@@ -12,8 +12,6 @@
 //! body      := 0                                   (delete tombstone)
 //!            | 1 tuple                             (full image)
 //!            | 2 delta                             (field-level delta)
-//!            | 3 raw_len:varint comp_len:varint rle-bytes   (rle(tuple))
-//!            | 4 raw_len:varint comp_len:varint rle-bytes   (rle(delta))
 //! delta     := base_tid:u64 arity:varint nchanges:varint change*
 //! change    := field:varint len:varint value      (len = encoded value size)
 //! key       := 0 bool:u8 | 1 int:i64 | 2 str32 | 3 count:u16 key*
@@ -24,16 +22,15 @@
 //! All fixed-width integers are little-endian; varints are LEB128. Delta
 //! bodies are the field-level redo format: a base version plus
 //! `(field offset, value length, value bytes)` runs for exactly the fields
-//! the update changed. Body kinds 3/4 are the optional record-level
-//! compression (PackBits-style RLE with zero suppression), emitted only
-//! when the compressed form is actually smaller.
+//! the update changed.
 //!
 //! Decoding is defensive: a torn or corrupt tail (short frame, bad
-//! checksum, malformed payload) terminates the scan of that segment without
-//! failing recovery — exactly the tail a crash in the middle of a flush
-//! leaves behind. Malformed *delta* bodies (unsorted or out-of-range field
-//! offsets, truncated values, over-long runs) are rejected the same way:
-//! a delta is either decoded exactly or not at all, never mis-applied.
+//! checksum, malformed payload, unknown body kind) terminates the scan of
+//! that segment without failing recovery — exactly the tail a crash in the
+//! middle of a flush leaves behind. Malformed *delta* bodies (unsorted or
+//! out-of-range field offsets, truncated values, over-long runs) are
+//! rejected the same way: a delta is either decoded exactly or not at all,
+//! never mis-applied.
 
 use reactdb_common::{ContainerId, Key, ReactorId, Value};
 use reactdb_storage::{TidWord, Tuple, TupleDelta};
@@ -215,88 +212,6 @@ fn put_delta_body(out: &mut Vec<u8>, base: TidWord, delta: &TupleDelta) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Record-level RLE compression (PackBits-style, zero-suppressing)
-// ---------------------------------------------------------------------------
-
-/// Shortest run worth a repeat token (control + byte = 2 bytes replace 3+).
-const RLE_MIN_RUN: usize = 3;
-/// Longest run one repeat token covers: `(0x7f) + RLE_MIN_RUN`.
-const RLE_MAX_RUN: usize = 0x7f + RLE_MIN_RUN;
-/// Longest literal stretch one literal token covers.
-const RLE_MAX_LITERAL: usize = 0x80;
-
-/// PackBits-style RLE: a control byte with the high bit set introduces a
-/// repeat run (`(ctrl & 0x7f) + 3` copies of the following byte); with the
-/// high bit clear it introduces `ctrl + 1` literal bytes. Runs of zeros —
-/// the dominant filler in fixed-width integer encodings — collapse to two
-/// bytes per 130, which is the "zero suppression" the record-compression
-/// knob advertises.
-pub(crate) fn rle_compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 8);
-    let mut literal_start = 0usize;
-    let mut i = 0usize;
-    while i < data.len() {
-        let mut run = 1usize;
-        while run < RLE_MAX_RUN && i + run < data.len() && data[i + run] == data[i] {
-            run += 1;
-        }
-        if run >= RLE_MIN_RUN {
-            flush_literals(&mut out, &data[literal_start..i]);
-            out.push(0x80 | (run - RLE_MIN_RUN) as u8);
-            out.push(data[i]);
-            i += run;
-            literal_start = i;
-        } else {
-            i += run;
-        }
-    }
-    flush_literals(&mut out, &data[literal_start..]);
-    out
-}
-
-fn flush_literals(out: &mut Vec<u8>, mut literals: &[u8]) {
-    while !literals.is_empty() {
-        let take = literals.len().min(RLE_MAX_LITERAL);
-        out.push((take - 1) as u8);
-        out.extend_from_slice(&literals[..take]);
-        literals = &literals[take..];
-    }
-}
-
-/// Inverse of [`rle_compress`]. Returns `None` unless the stream decodes to
-/// exactly `expected` bytes — over- and under-runs are corruption, never
-/// silently padded or truncated.
-pub(crate) fn rle_decompress(data: &[u8], expected: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected);
-    let mut i = 0usize;
-    while i < data.len() {
-        let ctrl = data[i];
-        i += 1;
-        if ctrl & 0x80 != 0 {
-            let run = (ctrl & 0x7f) as usize + RLE_MIN_RUN;
-            let byte = *data.get(i)?;
-            i += 1;
-            if out.len() + run > expected {
-                return None;
-            }
-            out.resize(out.len() + run, byte);
-        } else {
-            let take = ctrl as usize + 1;
-            let bytes = data.get(i..i + take)?;
-            i += take;
-            if out.len() + take > expected {
-                return None;
-            }
-            out.extend_from_slice(bytes);
-        }
-    }
-    if out.len() != expected {
-        return None;
-    }
-    Some(out)
-}
-
 /// Writes the segment header for `executor` / `generation`.
 pub fn encode_header(out: &mut Vec<u8>, executor: u32, generation: u32) {
     out.extend_from_slice(&SEGMENT_MAGIC);
@@ -315,7 +230,7 @@ pub fn encode_checkpoint_header(out: &mut Vec<u8>, seq: u64, epoch: u64, part: u
 
 /// Appends one framed batch to `out`. Returns the number of bytes written.
 pub fn encode_batch(out: &mut Vec<u8>, tid: TidWord, records: &[RedoRecord]) -> usize {
-    encode_batch_opts(out, tid, records, false, |_, _| {})
+    encode_batch_accounted(out, tid, records, |_, _| {})
 }
 
 /// Like [`encode_batch`], invoking `account` with every record and its
@@ -326,19 +241,6 @@ pub fn encode_batch_accounted(
     out: &mut Vec<u8>,
     tid: TidWord,
     records: &[RedoRecord],
-    account: impl FnMut(&RedoRecord, u64),
-) -> usize {
-    encode_batch_opts(out, tid, records, false, account)
-}
-
-/// Full-control batch encoder: `compress` additionally runs every record
-/// body (full tuple or delta) through the RLE encoder, keeping the
-/// compressed form only when it is strictly smaller.
-pub fn encode_batch_opts(
-    out: &mut Vec<u8>,
-    tid: TidWord,
-    records: &[RedoRecord],
-    compress: bool,
     mut account: impl FnMut(&RedoRecord, u64),
 ) -> usize {
     let mut payload = Vec::with_capacity(64 * records.len());
@@ -346,7 +248,6 @@ pub fn encode_batch_opts(
     put_u32(&mut payload, records.len() as u32);
     // frame header (len + crc) + payload header (tid + count)
     let mut overhead = Some(4 + 4 + payload.len() as u64);
-    let mut body = Vec::new();
     for record in records {
         let before = payload.len();
         put_u64(&mut payload, record.container.raw());
@@ -356,14 +257,12 @@ pub fn encode_batch_opts(
         match &record.payload {
             RedoPayload::Delete => payload.push(0),
             RedoPayload::Full(tuple) => {
-                body.clear();
-                put_tuple(&mut body, tuple);
-                put_body(&mut payload, 1, 3, &body, compress);
+                payload.push(1);
+                put_tuple(&mut payload, tuple);
             }
             RedoPayload::Delta(row_delta) => {
-                body.clear();
-                put_delta_body(&mut body, row_delta.base, &row_delta.delta);
-                put_body(&mut payload, 2, 4, &body, compress);
+                payload.push(2);
+                put_delta_body(&mut payload, row_delta.base, &row_delta.delta);
             }
         }
         let record_bytes = (payload.len() - before) as u64 + overhead.take().unwrap_or(0);
@@ -374,24 +273,6 @@ pub fn encode_batch_opts(
     put_u32(out, crc32(&payload));
     out.extend_from_slice(&payload);
     out.len() - before
-}
-
-/// Appends one record body, RLE-compressing it (under `compressed_kind`)
-/// when requested and strictly smaller than the raw form (`raw_kind`).
-fn put_body(out: &mut Vec<u8>, raw_kind: u8, compressed_kind: u8, body: &[u8], compress: bool) {
-    if compress {
-        let packed = rle_compress(body);
-        let framing = varint_len(body.len() as u64) + varint_len(packed.len() as u64);
-        if packed.len() + framing < body.len() {
-            out.push(compressed_kind);
-            put_varint(out, body.len() as u64);
-            put_varint(out, packed.len() as u64);
-            out.extend_from_slice(&packed);
-            return;
-        }
-    }
-    out.push(raw_kind);
-    out.extend_from_slice(body);
 }
 
 // ---------------------------------------------------------------------------
@@ -533,42 +414,16 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Reads one record body (kinds 0–4).
+    /// Reads one record body (kinds 0–2; any other kind is corruption).
     fn body(&mut self) -> Option<RedoPayload> {
         match self.u8()? {
             0 => Some(RedoPayload::Delete),
             1 => Some(RedoPayload::Full(self.tuple()?)),
             2 => Some(RedoPayload::Delta(self.delta_body()?)),
-            kind @ (3 | 4) => {
-                let raw_len = self.varint()? as usize;
-                if raw_len > MAX_BODY_LEN {
-                    return None;
-                }
-                let comp_len = self.varint()? as usize;
-                let compressed = self.take(comp_len)?;
-                let raw = rle_decompress(compressed, raw_len)?;
-                let mut body_reader = Reader {
-                    bytes: &raw,
-                    pos: 0,
-                };
-                let payload = if kind == 3 {
-                    RedoPayload::Full(body_reader.tuple()?)
-                } else {
-                    RedoPayload::Delta(body_reader.delta_body()?)
-                };
-                if body_reader.pos != raw.len() {
-                    return None;
-                }
-                Some(payload)
-            }
             _ => None,
         }
     }
 }
-
-/// Upper bound on a decompressed record body; anything larger is treated as
-/// corruption (no legitimate row in this system approaches it).
-const MAX_BODY_LEN: usize = 1 << 26;
 
 /// Decodes one batch payload (without the frame header).
 fn decode_payload(payload: &[u8]) -> Option<(TidWord, Vec<RedoRecord>)> {
@@ -882,93 +737,63 @@ mod tests {
     }
 
     #[test]
-    fn compressed_bodies_roundtrip_and_only_shrink() {
-        // A zero-heavy wide row compresses well; the frame must roundtrip
-        // byte-exactly through the RLE path.
-        let row = Tuple::of([
-            Value::Int(5),
-            Value::Str("a".repeat(300)),
-            Value::Int(0),
-            Value::Int(0),
-        ]);
-        let record = RedoRecord {
-            container: ContainerId(0),
-            reactor: ReactorId(0),
-            relation: "t".into(),
-            key: Key::Int(5),
-            payload: RedoPayload::Full(row.clone()),
+    fn retired_compressed_body_kinds_end_the_scan() {
+        // Body kinds 3 and 4 used to carry RLE-compressed full images and
+        // deltas: `kind raw_len:varint comp_len:varint rle-bytes`. Hand-build
+        // such a frame (one literal run holding the raw body) between two
+        // plain frames; the scan must keep the first frame and stop at it.
+        let before = Tuple::of([Value::Int(1), Value::Int(2), Value::Int(3)]);
+        let mut after = before.clone();
+        after.values_mut()[1] = Value::Int(9);
+        let delta = delta_record(TidWord::committed(1, 1), &before, &after);
+        let full = RedoRecord {
+            payload: RedoPayload::Full(after.clone()),
+            ..delta.clone()
         };
-        let mut plain = Vec::new();
-        encode_header(&mut plain, 0, 1);
-        encode_batch(
-            &mut plain,
-            TidWord::committed(1, 1),
-            std::slice::from_ref(&record),
-        );
-        let mut packed = Vec::new();
-        encode_header(&mut packed, 0, 1);
-        encode_batch_opts(
-            &mut packed,
-            TidWord::committed(1, 1),
-            std::slice::from_ref(&record),
-            true,
-            |_, _| {},
-        );
-        assert!(packed.len() < plain.len(), "repetitive rows compress");
-        let scan = decode_segment(&packed).expect("valid segment");
-        assert_eq!(scan.batches[0].1[0], record);
+        for (record, retired_kind) in [(full, 3u8), (delta, 4u8)] {
+            let mut plain = Vec::new();
+            encode_batch(
+                &mut plain,
+                TidWord::committed(1, 2),
+                std::slice::from_ref(&record),
+            );
+            // Payload offset of the body kind: tid (8) + count (4) +
+            // container (8) + reactor (8) + relation str16 "wide" (6) + key
+            // Int (9).
+            let payload = &plain[8..];
+            let kind_pos = 8 + 4 + 8 + 8 + 6 + 9;
+            assert_eq!(payload[kind_pos], retired_kind - 2, "plain body kind");
+            let raw = &payload[kind_pos + 1..];
+            assert!(raw.len() < 0x7f, "single-byte varints, one literal run");
+            let mut retired = payload[..kind_pos].to_vec();
+            retired.extend_from_slice(&[
+                retired_kind,
+                raw.len() as u8,
+                raw.len() as u8 + 1,
+                raw.len() as u8 - 1,
+            ]);
+            retired.extend_from_slice(raw);
 
-        // Incompressible bodies stay raw: compression never grows a frame.
-        let noisy: String = (0..300u32)
-            .map(|i| char::from((33 + (i * 7 + i / 9) % 90) as u8))
-            .collect();
-        let noisy_record = RedoRecord {
-            payload: RedoPayload::Full(Tuple::of([Value::Int(1), Value::Str(noisy)])),
-            ..record.clone()
-        };
-        let mut raw = Vec::new();
-        encode_batch(
-            &mut raw,
-            TidWord::committed(1, 2),
-            std::slice::from_ref(&noisy_record),
-        );
-        let mut tried = Vec::new();
-        encode_batch_opts(
-            &mut tried,
-            TidWord::committed(1, 2),
-            std::slice::from_ref(&noisy_record),
-            true,
-            |_, _| {},
-        );
-        assert!(tried.len() <= raw.len());
-        let mut header = Vec::new();
-        encode_header(&mut header, 0, 1);
-        header.extend_from_slice(&tried);
-        assert_eq!(
-            decode_segment(&header).unwrap().batches[0].1[0],
-            noisy_record
-        );
-    }
-
-    #[test]
-    fn rle_roundtrips_and_rejects_length_lies() {
-        for data in [
-            Vec::new(),
-            vec![0u8; 1000],
-            vec![1, 2, 3, 4, 5],
-            [vec![7u8; 200], vec![1, 2, 3], vec![0u8; 500]].concat(),
-        ] {
-            let packed = rle_compress(&data);
-            assert_eq!(rle_decompress(&packed, data.len()).unwrap(), data);
-            // Claiming any other length is rejected.
-            if !data.is_empty() {
-                assert!(rle_decompress(&packed, data.len() - 1).is_none());
-                assert!(rle_decompress(&packed, data.len() + 1).is_none());
-            }
+            let mut out = Vec::new();
+            encode_header(&mut out, 0, 1);
+            encode_batch(
+                &mut out,
+                TidWord::committed(1, 1),
+                std::slice::from_ref(&record),
+            );
+            put_u32(&mut out, retired.len() as u32);
+            put_u32(&mut out, crc32(&retired));
+            out.extend_from_slice(&retired);
+            encode_batch(
+                &mut out,
+                TidWord::committed(1, 3),
+                std::slice::from_ref(&record),
+            );
+            let scan = decode_segment(&out).expect("header intact");
+            assert!(scan.truncated_tail, "body kind {retired_kind} is rejected");
+            assert_eq!(scan.batches.len(), 1, "the scan stops at the frame");
+            assert_eq!(scan.batches[0].0, TidWord::committed(1, 1));
         }
-        // Truncated streams are rejected.
-        let packed = rle_compress(&[9u8; 100]);
-        assert!(rle_decompress(&packed[..packed.len() - 1], 100).is_none());
     }
 
     #[test]
@@ -1008,7 +833,7 @@ mod tests {
     proptest! {
         /// A random base image and a random chain of field changes
         /// roundtrip through encode → decode → apply to the exact final
-        /// image, with and without record compression.
+        /// image.
         #[test]
         fn prop_delta_chain_roundtrips_to_exact_final_image(
             base_vals in proptest::collection::vec(0i64..1000, 1..8),
@@ -1016,7 +841,6 @@ mod tests {
                 proptest::collection::vec((0usize..8, -500i64..500), 0..4),
                 1..6,
             ),
-            compress in proptest::bool::ANY,
         ) {
             let base = Tuple::of(base_vals.clone());
             // Build the chain of images by applying random field writes.
@@ -1038,12 +862,10 @@ mod tests {
                     &window[0],
                     &window[1],
                 );
-                encode_batch_opts(
+                encode_batch(
                     &mut out,
                     TidWord::committed(1, i as u64 + 2),
                     std::slice::from_ref(&record),
-                    compress,
-                    |_, _| {},
                 );
             }
             let scan = decode_segment(&out).expect("valid segment");

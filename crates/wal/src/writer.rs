@@ -32,28 +32,30 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use reactdb_common::{DurabilityConfig, DurabilityMode, Key, ReactorId};
+use reactdb_common::{DurabilityConfig, Key, ReactorId};
 use reactdb_storage::TidWord;
 use reactdb_txn::{LogSink, RedoPayload, RedoRecord};
 
 use crate::codec;
+use crate::failpoint;
 use crate::stats::WalStats;
 
-/// Flush threshold for [`DurabilityMode::Buffered`] writers. EpochSync
-/// writers never flush outside a group commit: buffered bytes must not reach
-/// the OS before their epoch is declared durable, or a crash could surface
-/// transactions from an unsynced epoch.
-const BUFFERED_FLUSH_BYTES: usize = 1 << 20;
-
 struct WriterInner {
+    /// Frames not yet handed to the OS. They stay here until a group
+    /// commit flushes them: no redo byte may reach the file before its
+    /// epoch's group commit, or a crash could surface a transaction
+    /// without the cross-writer transactions it read from.
     buf: Vec<u8>,
     file: File,
+    /// Bytes of `file` that hold whole frames: the offset a failed write
+    /// rewinds to, so a retry never appends after a torn frame.
+    len: u64,
     path: PathBuf,
     /// Keys with a full-image root in the *current* segment file, keyed
     /// reactor → relation → primary keys. Cleared by [`LogWriter::swap_file`]
@@ -118,15 +120,9 @@ impl WriterInner {
 /// path.
 pub struct LogWriter {
     executor: usize,
-    mode: DurabilityMode,
-    /// Delta logging is active: EpochSync mode with the config knob on.
-    /// (Buffered-mode flushes are per-writer and could persist a delta
-    /// whose cross-writer base never reached the OS, so deltas are
-    /// restricted to the epoch-fenced mode whose recovery filter makes the
-    /// base's durability imply the delta's.)
+    /// Delta logging is active. The group commit's epoch fence makes a
+    /// base's durability imply the delta's, whichever writer logged it.
     delta: bool,
-    /// Record-level RLE compression of frame bodies.
-    compress: bool,
     /// Dirty-key tracking for delta checkpoints. Off by default; the
     /// checkpointer switches it on when the config enables delta
     /// checkpoints, so non-delta deployments pay nothing on the commit
@@ -146,24 +142,23 @@ impl LogWriter {
         config: &DurabilityConfig,
         stats: Arc<WalStats>,
     ) -> std::io::Result<Self> {
-        let file = File::create(path)?;
+        let mut file = File::create(path)?;
         let mut header = Vec::with_capacity(16);
         codec::encode_header(&mut header, executor as u32, generation);
-        let mut inner = WriterInner {
-            buf: header,
+        // The header is metadata, not redo payload: push it to the OS right
+        // away (without fsync) so scans never mistake the file for garbage.
+        file.write_all(&header)?;
+        let inner = WriterInner {
+            buf: Vec::new(),
             file,
+            len: header.len() as u64,
             path: path.to_path_buf(),
             rooted: HashMap::new(),
             dirty: HashMap::new(),
         };
-        // The header is metadata, not redo payload: push it to the OS right
-        // away (without fsync) so scans never mistake the file for garbage.
-        Self::write_out(&mut inner)?;
         Ok(Self {
             executor,
-            mode: config.mode,
-            delta: config.delta_logging && config.mode == DurabilityMode::EpochSync,
-            compress: config.compress_records,
+            delta: config.delta_logging,
             track_dirty: AtomicBool::new(false),
             inner: Mutex::new(inner),
             stats,
@@ -185,24 +180,45 @@ impl LogWriter {
         self.delta
     }
 
+    /// Hands the buffer to the OS. A failed write may have moved the file
+    /// past a torn frame; the file is cut back to its last whole frame
+    /// before the error returns, and the buffer is kept for the retry.
     fn write_out(inner: &mut WriterInner) -> std::io::Result<()> {
-        if !inner.buf.is_empty() {
-            inner.file.write_all(&inner.buf)?;
-            inner.buf.clear();
+        if inner.buf.is_empty() {
+            return Ok(());
         }
+        // The `wal-write` failpoint is scoped by the log directory's name,
+        // so a test can fault the writers of one directory only.
+        let dir_name = inner
+            .path
+            .parent()
+            .and_then(Path::file_name)
+            .and_then(|n| n.to_str())
+            .unwrap_or("");
+        let written = match failpoint::check_scoped("wal-write", dir_name) {
+            Ok(()) => inner.file.write_all(&inner.buf),
+            // Injected short write: half the buffer lands, then it fails.
+            Err(e) => inner
+                .file
+                .write_all(&inner.buf[..inner.buf.len() / 2])
+                .and(Err(e)),
+        };
+        if let Err(e) = written {
+            inner.file.set_len(inner.len)?;
+            inner.file.seek(SeekFrom::Start(inner.len))?;
+            return Err(e);
+        }
+        inner.len += inner.buf.len() as u64;
+        inner.buf.clear();
         Ok(())
     }
 
-    /// Writes buffered bytes to the OS and optionally fsyncs. Called by the
-    /// group-commit daemon (with `fsync`) and by buffered-mode flushes
-    /// (without).
-    pub(crate) fn flush(&self, fsync: bool) -> std::io::Result<()> {
+    /// Writes buffered bytes to the OS and fsyncs them; the group commit's
+    /// flush step.
+    pub(crate) fn flush(&self) -> std::io::Result<()> {
         let mut inner = self.inner.lock();
         Self::write_out(&mut inner)?;
-        if fsync {
-            inner.file.sync_data()?;
-        }
-        Ok(())
+        inner.file.sync_data()
     }
 
     /// Rotates the writer onto a fresh segment file, returning the retired
@@ -227,13 +243,9 @@ impl LogWriter {
         file.write_all(&header)?;
         let old_path = std::mem::replace(&mut inner.path, path.to_path_buf());
         inner.file = file; // old handle drops (everything durable is synced)
+        inner.len = header.len() as u64;
         inner.rooted.clear(); // re-base: first touch per key logs full again
         Ok(old_path)
-    }
-
-    /// Bytes currently buffered in memory (not yet handed to the OS).
-    pub fn buffered_bytes(&self) -> usize {
-        self.inner.lock().buf.len()
     }
 
     /// Switches dirty-key tracking on or off. Turning it on only covers
@@ -314,23 +326,13 @@ impl LogSink for LogWriter {
             }
         }
         let render = rebased.as_deref().unwrap_or(records);
-        let written = codec::encode_batch_opts(
-            &mut inner.buf,
-            tid,
-            render,
-            self.compress,
-            |record, bytes| {
+        let written =
+            codec::encode_batch_accounted(&mut inner.buf, tid, render, |record, bytes| {
                 self.stats
                     .record_table_bytes(record.reactor, &record.relation, bytes);
-            },
-        );
+            });
         self.stats
             .record_batch(written as u64, records.len() as u64);
-        if self.mode == DurabilityMode::Buffered && inner.buf.len() >= BUFFERED_FLUSH_BYTES {
-            // Opportunistic flush; an I/O error here surfaces on the next
-            // explicit flush, buffered mode offers no durability guarantee.
-            let _ = Self::write_out(&mut inner);
-        }
     }
 }
 
@@ -338,9 +340,7 @@ impl std::fmt::Debug for LogWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LogWriter")
             .field("executor", &self.executor)
-            .field("mode", &self.mode)
             .field("delta", &self.delta)
-            .field("compress", &self.compress)
             .finish()
     }
 }

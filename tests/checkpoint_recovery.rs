@@ -7,13 +7,12 @@
 //! concurrent commits recovers a consistent epoch-prefix.
 //!
 //! The whole crash matrix runs twice: once with classic full-image redo
-//! logging and once with delta redo logging (+ record compression). The
-//! two runs perform the same logical history, so the recovered states must
-//! be identical *across modes* — asserted with a shared state digest over
-//! every row of every relation — which is what pins down the
-//! delta/checkpoint interplay: every surviving delta chain must find its
-//! base in a checkpoint row or an in-tail full image at every crash
-//! point.
+//! logging and once with delta redo logging. The two runs perform the same
+//! logical history, so the recovered states must be identical *across
+//! modes* — asserted with a shared state digest over every row of every
+//! relation — which is what pins down the delta/checkpoint interplay: every
+//! surviving delta chain must find its base in a checkpoint row or an
+//! in-tail full image at every crash point.
 
 mod support;
 
@@ -43,8 +42,7 @@ fn durable_config(dir: &Path, delta: bool) -> DeploymentConfig {
     DeploymentConfig::shared_nothing(3).with_durability(
         DurabilityConfig::epoch_sync(dir.to_string_lossy().into_owned())
             .with_interval_ms(0)
-            .with_delta_logging(delta)
-            .with_compression(delta),
+            .with_delta_logging(delta),
     )
 }
 
@@ -342,8 +340,7 @@ fn checkpoint_under_live_writers(delta: bool) {
     let config = DeploymentConfig::shared_nothing(3).with_durability(
         DurabilityConfig::epoch_sync(dir.to_string_lossy().into_owned())
             .with_interval_ms(1)
-            .with_delta_logging(delta)
-            .with_compression(delta),
+            .with_delta_logging(delta),
     );
     let db = ReactDB::boot(smallbank::spec(CUSTOMERS), config.clone());
     smallbank::load(&db, CUSTOMERS).unwrap();

@@ -4,7 +4,10 @@
 //! committing with monotonically increasing TIDs.
 
 use reactdb::common::{DeploymentConfig, DurabilityConfig, Key, Value};
+use reactdb::core::{ReactorDatabaseSpec, ReactorType};
 use reactdb::engine::{Call, ReactDB};
+use reactdb::storage::{ColumnType, RelationDef, Schema, Tuple};
+use reactdb::wal::{failpoint, recover_and_compact};
 use reactdb::workloads::smallbank::{self, customer_name, INITIAL_BALANCE};
 
 const CUSTOMERS: usize = 8;
@@ -325,25 +328,158 @@ fn many_sessions_pipeline_handles_and_all_durable_acks_survive() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn buffered_mode_replays_flushed_commits() {
-    let dir = wal_dir("buffered");
-    let config = DeploymentConfig::shared_everything_with_affinity(2)
-        .with_durability(DurabilityConfig::buffered(&dir));
+/// Two reactors holding one integer cell each (row 0) plus a padding row
+/// (row 1). `put` overwrites the cell, `copy_from` reads another
+/// reactor's cell through a sub-transaction and stores it in its own, and
+/// `fill` rewrites the padding row with `PAD` bytes to grow the log.
+fn cells_spec() -> ReactorDatabaseSpec {
+    const PAD: usize = 4096;
+    let cell = |v: i64| Tuple::of([Value::Int(0), Value::Int(v), Value::Str(String::new())]);
+    let cells = ReactorType::new("Cell")
+        .with_relation(RelationDef::new(
+            "cells",
+            Schema::of(
+                &[
+                    ("id", ColumnType::Int),
+                    ("val", ColumnType::Int),
+                    ("pad", ColumnType::Str),
+                ],
+                &["id"],
+            ),
+        ))
+        .with_procedure("get", |ctx, _| {
+            Ok(ctx.get_expected("cells", &Key::Int(0))?.at(1).clone())
+        })
+        .with_procedure("put", move |ctx, args| {
+            ctx.update("cells", cell(args[0].as_int()))?;
+            Ok(Value::Null)
+        })
+        .with_procedure("copy_from", move |ctx, args| {
+            let src = args[0].as_str().to_owned();
+            let v = ctx.call(&src, "get", vec![])?.get()?;
+            ctx.update("cells", cell(v.as_int()))?;
+            Ok(v)
+        })
+        .with_procedure("fill", |ctx, args| {
+            ctx.update(
+                "cells",
+                Tuple::of([Value::Int(1), args[0].clone(), Value::Str("f".repeat(PAD))]),
+            )?;
+            Ok(Value::Null)
+        });
+    let mut spec = ReactorDatabaseSpec::new();
+    spec.add_type(cells);
+    spec.add_reactor("a", "Cell");
+    spec.add_reactor("b", "Cell");
+    spec
+}
 
-    let db = ReactDB::boot(smallbank::spec(CUSTOMERS), config.clone());
-    smallbank::load(&db, CUSTOMERS).unwrap();
-    db.invoke(
-        &customer_name(3),
-        "transact_saving",
-        vec![Value::Float(123.0)],
-    )
-    .unwrap();
-    db.wal_sync().unwrap(); // buffered flush, no fsync/marker
+fn cell_value(db: &ReactDB, reactor: &str) -> i64 {
+    db.table(reactor, "cells")
+        .unwrap()
+        .get(&Key::Int(0))
+        .unwrap()
+        .read_unguarded()
+        .at(1)
+        .as_int()
+}
+
+#[test]
+fn recovery_keeps_a_prefix_across_log_writers() {
+    // T1 on executor A writes x; T2 on executor B reads x and writes y.
+    // Then B alone logs more than a megabyte while no group commit covers
+    // T1's epoch, and the database crashes. Whatever recovery keeps must be
+    // a prefix of the commit order: y = 7 without x = 7 would replay T2
+    // without the T1 it read from.
+    let dir = wal_dir("cross-writer-prefix");
+    let config = DeploymentConfig::shared_nothing(2)
+        .with_durability(DurabilityConfig::epoch_sync(&dir).with_interval_ms(0));
+    let db = ReactDB::boot(cells_spec(), config.clone());
+    for reactor in ["a", "b"] {
+        for id in 0..2 {
+            db.load_row(
+                reactor,
+                "cells",
+                Tuple::of([Value::Int(id), Value::Int(0), Value::Str(String::new())]),
+            )
+            .unwrap();
+        }
+    }
+    db.wal_sync().unwrap();
+
+    db.invoke("a", "put", vec![Value::Int(7)]).unwrap(); // T1
+    let read = db
+        .invoke("b", "copy_from", vec![Value::Str("a".into())])
+        .unwrap(); // T2
+    assert_eq!(read, Value::Int(7), "T2 read T1's write");
+    let logged = db.stats().log_bytes();
+    for i in 0..300 {
+        db.invoke("b", "fill", vec![Value::Int(i)]).unwrap();
+    }
+    assert!(
+        db.stats().log_bytes() - logged > 1 << 20,
+        "executor B logged more than a megabyte after T2"
+    );
     db.simulate_crash();
 
+    let recovered = ReactDB::recover(cells_spec(), config).unwrap();
+    let (x, y) = (cell_value(&recovered, "a"), cell_value(&recovered, "b"));
+    assert!(
+        y != 7 || x == 7,
+        "recovered T2's write (y = {y}) without the T1 it read (x = {x})"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_log_write_does_not_tear_the_segment() {
+    // The `wal-write` failpoint hands half of a writer's buffer to the file
+    // and then fails, like a short write on a full disk. The writer must
+    // cut the half frame off again: otherwise the retry appends the whole
+    // buffer after a torn frame, and recovery stops at the tear.
+    let dir = wal_dir("torn-write");
+    let config = durable_config(&dir);
+    let db = ReactDB::boot(smallbank::spec(CUSTOMERS), config.clone());
+    smallbank::load(&db, CUSTOMERS).unwrap();
+    db.wal_sync().unwrap();
+
+    // One deposit per executor of the 4-way deployment: every writer
+    // buffers a single frame, so half of it is a torn frame.
+    for customer in 0..4 {
+        db.invoke(
+            &customer_name(customer),
+            "deposit_checking",
+            vec![Value::Float(10.0 + customer as f64)],
+        )
+        .unwrap();
+    }
+    // Scoped to this test's log directory, so parallel tests are unaffected.
+    let point = format!(
+        "wal-write@{}",
+        std::path::Path::new(&dir)
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+    );
+    failpoint::arm(&format!("{point}=err:1")).unwrap();
+    assert!(
+        db.wal_sync().is_err(),
+        "the injected short write fails the sync"
+    );
+    assert_eq!(failpoint::hits(&point), 1);
+    db.wal_sync().expect("the retry succeeds");
+    db.simulate_crash();
+
+    let log = recover_and_compact(std::path::Path::new(&dir)).unwrap();
+    assert_eq!(log.truncated_segments, 0, "no torn frame is left behind");
     let recovered = ReactDB::recover(smallbank::spec(CUSTOMERS), config).unwrap();
-    assert_eq!(savings_balance(&recovered, 3), INITIAL_BALANCE + 123.0);
+    for customer in 0..4 {
+        assert_eq!(
+            checking_balance(&recovered, customer),
+            INITIAL_BALANCE + 10.0 + customer as f64,
+            "customer {customer}: every committed deposit is recovered"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -5,9 +5,8 @@
 //! the TCP wire protocol.
 //!
 //! The workload runs under every commit path: durability off, epoch-sync
-//! group commit, and epoch-sync with delta redo logging + record
-//! compression — the log format must never leak into the concurrency
-//! semantics.
+//! group commit, and epoch-sync with delta redo logging — the log format
+//! must never leak into the concurrency semantics.
 
 mod support;
 
@@ -51,8 +50,7 @@ fn concurrent_histories_are_serializable_under_delta_logging() {
     let config = DeploymentConfig::shared_nothing(SHARDS).with_durability(
         DurabilityConfig::epoch_sync(&dir)
             .with_interval_ms(1)
-            .with_delta_logging(true)
-            .with_compression(true),
+            .with_delta_logging(true),
     );
     let db = Arc::new(ReactDB::boot(spec(), config.clone()));
     load(&db);

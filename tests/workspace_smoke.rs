@@ -1,9 +1,9 @@
 //! Facade smoke test that plain `cargo test` (root package only — CI runs
 //! `--workspace` as well, but the keep-green rule says both invocations must
 //! exercise real suites) drives the full durability vertical through the
-//! `reactdb` facade: boot with delta redo logging + record compression,
-//! commit through the session API, crash, recover, and check both the
-//! recovered state and the delta-path statistics.
+//! `reactdb` facade: boot with delta redo logging, commit through the
+//! session API, crash, recover, and check both the recovered state and the
+//! delta-path statistics.
 
 use std::collections::BTreeMap;
 
@@ -17,8 +17,7 @@ fn config(dir: &str, delta: bool) -> DeploymentConfig {
     DeploymentConfig::shared_nothing(2).with_durability(
         DurabilityConfig::epoch_sync(dir)
             .with_interval_ms(0)
-            .with_delta_logging(delta)
-            .with_compression(delta),
+            .with_delta_logging(delta),
     )
 }
 
@@ -75,7 +74,7 @@ fn facade_delta_mode_commits_crash_and_recover() {
     assert_eq!(
         balances(&recovered),
         expected,
-        "delta + compressed log recovers the exact durable state"
+        "delta log recovers the exact durable state"
     );
     // The recovered instance keeps serving and delta-logging.
     recovered
